@@ -1,9 +1,10 @@
 """Command-line surface: one-shot queries and the fixture report.
 
 Exit codes: 0 success, 1 Undetermined verdict / inconclusive search /
-fixture mismatch, 2 usage or domain error.  With --json, output follows
-the stable schema {"schema": 1, ...}; otherwise a small aligned table or
-a bare value is printed.
+fixture mismatch, 2 usage or domain error, 3 internal invariant failure (a
+bug, e.g. a fast-path rule contradicting the local symbols).  With --json,
+output follows the stable schema {"schema": 1, ...}; otherwise a small
+aligned table or a bare value is printed.
 """
 from __future__ import annotations
 
@@ -16,11 +17,11 @@ from typing import Optional, Sequence
 from . import rational
 from .classifier import (
     UNDETERMINED,
-    QuaternionQ,
-    QuaternionQi,
-    SymbolAlgebra,
+    InvariantError,
     Verdict,
-    classify,
+    classify_quaternion_q,
+    classify_quaternion_qi,
+    classify_symbol,
 )
 from .gaussian import factor_gaussian, parse_gaussian
 from .local_symbols import hilbert_odd, hilbert_real, hilbert_two
@@ -76,19 +77,18 @@ def _emit_verdict(args, spec_echo: dict, verdict: Verdict, ms: float) -> int:
 
 
 def _cmd_classify_quaternion(args) -> int:
-    spec = QuaternionQ(args.a, args.b) if args.field == "q" else QuaternionQi(args.a, args.b)
+    classify = classify_quaternion_q if args.field == "q" else classify_quaternion_qi
     echo = {"kind": "quaternion", "field": args.field, "a": args.a, "b": args.b}
     t0 = time.perf_counter()
-    verdict = classify(spec)
+    verdict = classify(args.a, args.b)
     ms = round((time.perf_counter() - t0) * 1000, 3)
     return _emit_verdict(args, echo, verdict, ms)
 
 
 def _cmd_classify_symbol(args) -> int:
-    spec = SymbolAlgebra(args.q, args.alpha, args.p)
     echo = {"kind": "symbol", "q": args.q, "alpha": args.alpha, "p": args.p}
     t0 = time.perf_counter()
-    verdict = classify(spec)
+    verdict = classify_symbol(args.q, args.alpha, args.p)
     ms = round((time.perf_counter() - t0) * 1000, 3)
     return _emit_verdict(args, echo, verdict, ms)
 
@@ -321,6 +321,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"internal invariant failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

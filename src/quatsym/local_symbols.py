@@ -1,18 +1,33 @@
 """Local symbols: Hilbert symbols over Q, Hasse invariants over Q(i), and
 tame degree-q norm-residue symbols over cyclotomic fields.
 
-All symbols are computed by the tame formulas on square-free reduced input,
-entirely in exact integer arithmetic.  A quadratic symbol value is +1 exactly
-when the corresponding quaternion algebra splits locally; a QTriviality is
-the analogous statement for a degree-q symbol algebra, together with the
-residue witness that proves it.
+Every symbol at an odd prime ell comes from one kernel, the tame unit
+t = (-1)^(mn) * u^n * v^(-m) mod ell of a = ell^m * u and b = ell^n * v
+(Serre, A Course in Arithmetic, Ch. III Thm 1; Neukirch, Algebraic Number
+Theory, Ch. V Sec. 3):
+
+* the Hilbert symbol (a, b)_ell over Q is t^((ell - 1)/2);
+* over Q(i), by base change (Voight, Quaternion Algebras, Ch. 14), each
+  place over ell carries (a, b)_ell when ell = 1 (mod 4) and +1 when
+  ell = 3 (mod 4), whose place has even local degree; the archimedean
+  place is complex, so the invariant at 1+i is the product of the odd ones;
+* the degree-q witness at the places over ell is t^((ell^f - 1)/q), with
+  (alpha, p) in place of (a, b).
+
+`hilbert_at`, `qi_invariant` and `witness_at` evaluate these at a prime the
+caller has already certified and re-prove nothing; the classifier feeds them
+primes read off its factorizations.  The public kernels validate their input
+and then call the same evaluators.  A quadratic symbol value is +1 exactly
+when the quaternion algebra splits locally; a QTriviality is the analogous
+statement for a degree-q symbol algebra, together with its witness.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import rational
-from .gaussian import GaussianInt, GaussianPrime, gaussian_legendre, split_prime
+from .gaussian import GaussianPrime, split_prime
 
 # A quadratic local symbol: always -1 or +1.
 QuadSymbol = int
@@ -101,6 +116,42 @@ def _split_off(n: int, p: int) -> tuple[int, int]:
     return e, n
 
 
+def _tame_unit(a: int, b: int, ell: int) -> int:
+    """The kernel: t = (-1)^(mn) * u^n * v^(-m) mod ell for a = ell^m u, b = ell^n v."""
+    m, u = _split_off(a, ell)
+    n, v = _split_off(b, ell)
+    sign = -1 if (m * n) % 2 else 1
+    return sign * pow(u, n, ell) * pow(v, -m, ell) % ell
+
+
+def hilbert_at(a: int, b: int, ell: int) -> QuadSymbol:
+    """(a, b)_ell at an odd prime ell the caller has certified: t^((ell-1)/2)."""
+    return 1 if pow(_tame_unit(a, b, ell), (ell - 1) // 2, ell) == 1 else -1
+
+
+def qi_invariant(symbol: QuadSymbol, ell: int) -> QuadSymbol:
+    """The Hasse invariant over Q(i) at each place over the odd prime ell,
+    given the rational symbol (a, b)_ell."""
+    return symbol if ell % 4 == 1 else 1
+
+
+def witness_at(alpha: int, p: int, q: int, ell: int, f: int) -> int:
+    """t^((ell^f - 1)/q) mod ell at a certified prime ell != q of residue degree f.
+
+    t lies in the prime field, so the exponent matters only mod ell - 1; as q
+    divides ell^f - 1, reducing ell^f mod q*(ell - 1) first yields it
+    without forming ell^f.
+    """
+    e = (pow(ell, f, q * (ell - 1)) - 1) // q
+    return pow(_tame_unit(alpha, p, ell), e, ell)
+
+
+def odd_support(fa: rational.FactoredInt, fb: rational.FactoredInt) -> list[int]:
+    """The odd primes of the square-free parts of a and b, ascending: the
+    only odd primes at which (a, b) can be nontrivial."""
+    return sorted({p for p, e in fa.factors + fb.factors if e & 1 and p != 2})
+
+
 def _check_nonzero(a: int, b: int) -> None:
     rational.check_magnitude(a, b)
     if a == 0 or b == 0:
@@ -110,33 +161,25 @@ def _check_nonzero(a: int, b: int) -> None:
 def hilbert_odd(a: int, b: int, p: int) -> QuadSymbol:
     """Hilbert symbol (a, b)_p at an odd prime, by the tame formula.
 
-    With a = p**alpha * u and b = p**beta * v reduced square-free:
+    With a = p**alpha * u and b = p**beta * v:
     (a,b)_p = (-1)^(alpha*beta*(p-1)/2) * (u/p)^beta * (v/p)^alpha.
     """
     _check_nonzero(a, b)
     if p == 2 or not rational.is_prime(p):
         raise ValueError(f"hilbert_odd needs an odd prime, got {p}")
-    alpha, u = _split_off(rational.squarefree_part(a), p)
-    beta, v = _split_off(rational.squarefree_part(b), p)
-    s = 1
-    if alpha and beta and p % 4 == 3:
-        s = -s
-    if beta:
-        s *= rational.legendre(u, p)
-    if alpha:
-        s *= rational.legendre(v, p)
-    return s
+    return hilbert_at(a, b, p)
 
 
 def hilbert_two(a: int, b: int) -> QuadSymbol:
     """Hilbert symbol (a, b)_2.
 
-    With odd parts u, v: (-1)^(eps(u)eps(v) + alpha*omega(v) + beta*omega(u)),
+    With a = 2**alpha * u and b = 2**beta * v:
+    (-1)^(eps(u)eps(v) + alpha*omega(v) + beta*omega(u)),
     where eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 taken mod 2.
     """
     _check_nonzero(a, b)
-    alpha, u = _split_off(rational.squarefree_part(a), 2)
-    beta, v = _split_off(rational.squarefree_part(b), 2)
+    alpha, u = _split_off(a, 2)
+    beta, v = _split_off(b, 2)
     eps = lambda w: ((w - 1) // 2) % 2
     omega = lambda w: ((w * w - 1) // 8) % 2
     exponent = eps(u) * eps(v) + alpha * omega(v) + beta * omega(u)
@@ -152,23 +195,15 @@ def hilbert_real(a: int, b: int) -> QuadSymbol:
 def hasse_qi_odd(a: int, b: int, pi: GaussianPrime) -> QuadSymbol:
     """Hasse invariant of (a, b) over Q(i) at an odd Gaussian prime.
 
-    Tame rule: with m = v_pi(a), n = v_pi(b) and the unit
-    t = (-1)^(mn) * a^n * b^(-m), the invariant is [t / pi].  For rational
-    a, b the inert case is always +1 (rational units are squares in
-    F_{p**2}); split primes reduce to a Legendre symbol mod p.
+    Base change from Q: (a, b)_p at a split prime over p = 1 (mod 4), and +1
+    at an inert prime, whose residue field F_{p**2} makes every rational
+    unit a square.
     """
     _check_nonzero(a, b)
     if pi.kind == "ramified":
         raise ValueError("use hasse_qi_dyadic for the place over 2")
     p = pi.residue_char
-    m, u = _split_off(rational.squarefree_part(a), p)
-    n, v = _split_off(rational.squarefree_part(b), p)
-    t = p - 1 if (m * n) % 2 else 1
-    if n:
-        t = t * (u % p) % p
-    if m:
-        t = t * pow(v % p, -1, p) % p
-    return gaussian_legendre(GaussianInt(t, 0), pi)
+    return qi_invariant(hilbert_at(a, b, p), p)
 
 
 def hasse_qi_dyadic(a: int, b: int) -> QuadSymbol:
@@ -176,17 +211,14 @@ def hasse_qi_dyadic(a: int, b: int) -> QuadSymbol:
 
     The archimedean place of Q(i) is complex, so the product formula pins
     the dyadic invariant as the product of the odd-place invariants; only
-    odd primes dividing a*b can contribute.
+    odd primes of the square-free parts of a and b can contribute.
     """
     _check_nonzero(a, b)
-    product = 1
-    ab = rational.squarefree_part(a) * rational.squarefree_part(b)
-    for p in rational.factor(ab).primes():
-        if p == 2:
-            continue
-        for gp, _ in split_prime(p):
-            product *= hasse_qi_odd(a, b, gp)
-    return product
+    return math.prod(
+        qi_invariant(hilbert_at(a, b, p), p)
+        for p in odd_support(rational.factor(a), rational.factor(b))
+        for _ in split_prime(p)
+    )
 
 
 def tame_q_symbol(alpha: int, p: int, q: int, ell: int) -> QTriviality:
@@ -196,9 +228,9 @@ def tame_q_symbol(alpha: int, p: int, q: int, ell: int) -> QTriviality:
     f = ord(ell mod q), so the residue field is F_{ell**f} and the symbol is
     trivial iff the tame unit t = (-1)^(mn) * alpha^n * p^(-m) is a q-th
     power there, i.e. iff t^((ell**f - 1)/q) = 1.  Rational t lives in the
-    prime field, so the exponent reduces mod ell - 1 and the witness is an
-    ordinary residue mod ell.  One computation decides every prime of
-    Q(zeta_q) over ell at once: rational data is Galois-invariant.
+    prime field, so the witness is an ordinary residue mod ell.  One
+    computation decides every prime of Q(zeta_q) over ell at once: rational
+    data is Galois-invariant.
     """
     rational.check_magnitude(alpha, p, q, ell)
     if alpha == 0:
@@ -213,19 +245,5 @@ def tame_q_symbol(alpha: int, p: int, q: int, ell: int) -> QTriviality:
         raise ValueError(f"{q} divides alpha: the symbol is not tame at q")
     if alpha % p == 0:
         raise ValueError("alpha and p must be coprime")
-    f = rational.multiplicative_order(ell, q)
-    m, u = _split_off(alpha, ell)
-    n = 1 if ell == p else 0
-    v = 1 if ell == p else p
-    # (ell**f - 1)/q mod (ell - 1), without forming ell**f
-    modulus = q * (ell - 1) if ell > 2 else q
-    e = ((pow(ell, f, modulus) - 1) % modulus) // q
-    if ell > 2:
-        e %= ell - 1
-    t = ell - 1 if (m * n) % 2 else 1
-    if n:
-        t = t * (u % ell) % ell
-    if m:
-        t = t * pow(v % ell, -1, ell) % ell
-    witness = pow(t, e, ell)
+    witness = witness_at(alpha, p, q, ell, rational.multiplicative_order(ell, q))
     return QTriviality(witness == 1, witness)

@@ -8,12 +8,13 @@ local machinery cannot hide behind a correct Split/Division verdict.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .classifier import (
     DIVISION,
     SPLIT,
+    AlgebraSpec,
     QuaternionQ,
     QuaternionQi,
     SymbolAlgebra,
@@ -21,13 +22,11 @@ from .classifier import (
     classify,
 )
 
-Spec = Union[QuaternionQ, QuaternionQi, SymbolAlgebra]
-
 
 @dataclass(frozen=True)
 class Row:
     key: str
-    spec: Spec
+    spec: AlgebraSpec
     expected_status: str
     description: str
     # None means "not pinned"; () pins an empty ramified set.

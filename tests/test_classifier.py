@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -22,7 +23,16 @@ from quatsym.classifier import (
     classify_symbol,
     fast_path,
 )
-from quatsym.rational import is_prime, legendre, squarefree_part
+from quatsym.gaussian import split_prime
+from quatsym.local_symbols import (
+    hasse_qi_dyadic,
+    hasse_qi_odd,
+    hilbert_odd,
+    hilbert_real,
+    hilbert_two,
+    tame_q_symbol,
+)
+from quatsym.rational import factor, is_prime, legendre, squarefree_part
 
 
 def _ram_strs(verdict):
@@ -78,6 +88,18 @@ class TestQuaternionOverQ:
             assert v.discriminant == prod
             sf = squarefree_part(v.discriminant)
             assert sf == v.discriminant
+        # in-contract pairs whose square-free parts multiply past 2**63
+        for a, b in (
+            (10**10 + 19, 10**10 + 33),
+            (-(2**63), 2**63 - 25),
+            (2**63 - 1, -(2**62 + 1)),
+        ):
+            v = classify_quaternion_q(a, b)
+            for verdict in (v, classify_quaternion_qi(a, b)):
+                assert verdict.status in (SPLIT, DIVISION)
+                assert math.prod(verdict.certificate["symbols"].values()) == 1
+            assert v.discriminant == math.prod(pl.p for pl in v.ramified if pl.kind != "q_real")
+            assert hasse_qi_dyadic(a, b) == 1
 
     def test_certificate_reduction(self):
         v = classify_quaternion_q(12, 75)
@@ -208,6 +230,9 @@ class TestSymbolAlgebras:
         assert v.fast_path is None
         assert _ram_strs(v) == ("ell=7,f=1",)
         assert v.certificate["witnesses"] == {"ell=7,f=1": 2, "ell=19,f=1": 1}
+        # 49 = 7**2: the unit at 7 is 19**(-2), witness 19**(-4) = 4 mod 7
+        v = classify_symbol(3, 49, 19)
+        assert v.certificate["witnesses"] == {"ell=7,f=1": 4, "ell=19,f=1": 1}
 
     def test_degree_five_rows(self):
         assert classify_symbol(5, 19, 37).status == SPLIT
@@ -329,10 +354,58 @@ class TestFastPaths:
 
     def test_mispredict_raises(self, monkeypatch):
         monkeypatch.setattr(
-            classifier, "_fast_path_rule", lambda spec: ("bogus", DIVISION)
+            classifier, "_fast_path_rule", lambda *args: ("bogus", DIVISION)
         )
         with pytest.raises(AssertionError, match="bogus predicted Division"):
             classifier.classify_quaternion_q(1, 1)
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 1000003, 2**31 - 1)
+
+
+def _small_prime_product(rng, avoid=()):
+    """A signed product of powers of _PRIMES, up to 2**63 in magnitude."""
+    n = rng.choice([-1, 1])
+    while rng.random() < 0.85:
+        factor_ = rng.choice([p for p in _PRIMES if p not in avoid]) ** rng.randint(1, 4)
+        if abs(n * factor_) > 2**63:
+            break
+        n *= factor_
+    return n
+
+
+def _odd_support(a, b):
+    return sorted({p for n in (a, b) for p, e in factor(n).factors if e % 2 and p != 2})
+
+
+class TestPipelineAgreesWithKernels:
+    def test_certificates_match_public_kernels(self):
+        # the pass evaluates symbols without the public kernels; pin them together
+        rng = random.Random(28)
+        witnesses = 0
+        for _ in range(150):
+            a, b = _small_prime_product(rng), _small_prime_product(rng)
+            cert = classify_quaternion_q(a, b).certificate["symbols"]
+            expected = {"p=2": hilbert_two(a, b), "real": hilbert_real(a, b)}
+            expected.update({f"p={p}": hilbert_odd(a, b, p) for p in _odd_support(a, b)})
+            assert cert == expected, (a, b)
+            cert = classify_quaternion_qi(a, b).certificate["symbols"]
+            expected = {"pi=1+i": hasse_qi_dyadic(a, b)}
+            expected.update({f"pi={gp}": hasse_qi_odd(a, b, gp)
+                             for p in _odd_support(a, b) for gp, _ in split_prime(p)})
+            assert cert == expected, (a, b)
+
+            q = rng.choice([3, 5, 7])
+            p = rng.choice([7, 11, 13, 19, 31, 37, 43, 61, 2**31 - 1, 2**61 - 1])
+            if p == q:
+                continue
+            alpha = _small_prime_product(rng, avoid=(q, p))
+            cert = classify_symbol(q, alpha, p).certificate
+            for place, witness in cert["witnesses"].items():
+                ell = int(place.split(",")[0][4:])
+                assert witness == tame_q_symbol(alpha, p, q, ell).witness, (q, alpha, p, ell)
+                witnesses += 1
+        assert witnesses > 300
 
 
 class TestBrownParrySet:

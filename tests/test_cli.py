@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+import quatsym.classifier
 import quatsym.report
 from quatsym.cli import main
 
@@ -72,6 +73,19 @@ class TestClassifyCommands:
         assert code == 1
         assert payload["status"] == "undetermined"
         assert "wild" in payload["certificate"]["reason"]
+
+    def test_square_free_product_past_2_63(self, capsys):
+        code, payload = run_json(capsys, "classify", "quaternion", "--field", "q",
+                                 "10000000019", "10000000033")
+        assert code == 0
+        assert payload["status"] == "split"
+
+    def test_invariant_failure_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(quatsym.classifier, "_fast_path_rule",
+                            lambda *args: ("bogus", "Division"))
+        code, out, err = run(capsys, "classify", "quaternion", "--field", "q", "1", "1")
+        assert code == 3 and out == ""
+        assert "bogus predicted Division" in err
 
     def test_zero_parameter_message(self, capsys):
         code, out, err = run(capsys, "classify", "quaternion", "--field", "q", "0", "5")
